@@ -75,7 +75,6 @@ fn bench_workloads(c: &mut Criterion) {
             abort_prob: 0.0,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 1,
         };
         group.throughput(Throughput::Elements((w.threads as u64) * (w.txns_per_thread as u64)));
@@ -98,7 +97,6 @@ fn bench_workloads(c: &mut Criterion) {
             abort_prob: 0.0,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 1,
         };
         group.bench_with_input(

@@ -19,7 +19,6 @@ fn base_workload(quick: bool) -> Workload {
         abort_prob: 0.0,
         exclusive_reads: false,
         op_abort_prob: 0.0,
-        sorted_ops: false,
         seed: 42,
     }
 }

@@ -331,7 +331,6 @@ pub fn e9_orphan_views(quick: bool) -> Table {
             abort_prob: 0.2,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 5,
         };
         run_workload(&db, &w);

@@ -21,8 +21,7 @@
 //! restore, top-level publish — bumps that key's generation and notifies
 //! only the transactions blocked on *that key*. The generation counter
 //! doubles as the spurious/productive wakeup classifier feeding
-//! [`Stats`]. [`WakeupMode::Broadcast`] keeps the old shard-wide
-//! `notify_all` + poll-slice behavior as a measurable baseline.
+//! [`Stats`].
 
 use crate::audit::{hash_value, AuditLog, AuditRecord};
 #[cfg(feature = "chaos-hooks")]
@@ -31,7 +30,7 @@ use crate::commit_pipeline::{CommitPipeline, StagedCommit};
 use crate::deadlock::WaitForGraph;
 use crate::error::TxnError;
 use crate::lock::{Conflict, LockEnv, LockState};
-use crate::registry::{Registry, RegistryError, RegistryView, TxnId, TxnStatus};
+use crate::registry::{Registry, RegistryError, TxnId, TxnStatus};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::view::{EpochBounds, ReadView, SnapshotError};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
@@ -82,18 +81,6 @@ pub enum Durability {
     WalFsync,
 }
 
-/// How blocked lock waiters are woken when a lock is released.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WakeupMode {
-    /// Per-key wait gates: a `release-lock`/`lose-lock` wakes only the
-    /// transactions blocked on keys whose lock state actually changed.
-    #[default]
-    Targeted,
-    /// Per-shard `notify_all` plus short poll slices — the pre-rewrite
-    /// engine, kept as a benchmark baseline.
-    Broadcast,
-}
-
 /// Which concurrency-control subsystem runs transactions.
 ///
 /// Both modes share the action tree, the audit oracle, the MVCC version
@@ -120,23 +107,6 @@ pub enum CcMode {
     Optimistic,
 }
 
-/// Which generation of hot-path internals the engine runs on.
-///
-/// Both generations implement identical semantics — the toggle exists so
-/// the hot-path benchmark can run paired same-seed arms against the same
-/// binary and attribute speedups to the internals alone. Nothing else
-/// should select [`HotPath::Legacy`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum HotPath {
-    /// The scaled internals: sharded transaction registry, striped
-    /// statistics counters, and lock-free snapshot pins. The default.
-    #[default]
-    Scaled,
-    /// The pre-scaling internals: one registry map under one lock, one
-    /// shared stats block, a fully locked pin table.
-    Legacy,
-}
-
 /// Engine configuration. Construct via [`DbConfig::builder`] (or start
 /// from [`DbConfig::default`] and adjust fields); the struct is
 /// `#[non_exhaustive]` so new knobs can be added without breaking callers.
@@ -149,15 +119,11 @@ pub struct DbConfig {
     pub policy: DeadlockPolicy,
     /// Overall lock-wait bound for [`DeadlockPolicy::Timeout`].
     pub lock_timeout: Duration,
-    /// Fallback re-check bound for a single condvar wait. With
-    /// [`WakeupMode::Targeted`] notifications drive progress and this only
-    /// bounds pathological cases; with [`WakeupMode::Broadcast`] it is the
-    /// poll period.
+    /// Fallback re-check bound for a single condvar wait. Per-key
+    /// notifications drive progress; this only bounds pathological cases.
     pub wait_slice: Duration,
     /// Record an audit log for serializability checking.
     pub audit: bool,
-    /// Wakeup protocol for blocked lock waiters.
-    pub wakeups: WakeupMode,
     /// Write-ahead logging mode. Takes effect only when the database is
     /// created with [`Db::open`] or [`Db::recover`] (which supply the log
     /// file); [`Db::new`]/[`Db::with_config`] are always in-memory.
@@ -195,9 +161,6 @@ pub struct DbConfig {
     /// [`CcMode`]). Mode is a per-database decision: every transaction of
     /// one [`Db`] runs under the same discipline.
     pub cc_mode: CcMode,
-    /// Which generation of hot-path internals to run on (see [`HotPath`]).
-    /// Benchmark plumbing; leave at the default.
-    pub hot_path: HotPath,
 }
 
 impl Default for DbConfig {
@@ -208,7 +171,6 @@ impl Default for DbConfig {
             lock_timeout: Duration::from_millis(100),
             wait_slice: Duration::from_millis(2),
             audit: false,
-            wakeups: WakeupMode::Targeted,
             durability: Durability::None,
             checkpoint_every: 0,
             group_commit: false,
@@ -216,7 +178,6 @@ impl Default for DbConfig {
             max_batch_wait: Duration::ZERO,
             max_versions_per_key: 0,
             cc_mode: CcMode::Locking,
-            hot_path: HotPath::Scaled,
         }
     }
 }
@@ -276,12 +237,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Wakeup protocol for blocked lock waiters.
-    pub fn wakeups(mut self, mode: WakeupMode) -> Self {
-        self.config.wakeups = mode;
-        self
-    }
-
     /// Write-ahead logging mode (effective with [`Db::open`]/[`Db::recover`]).
     pub fn durability(mut self, durability: Durability) -> Self {
         self.config.durability = durability;
@@ -327,13 +282,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Which generation of hot-path internals to run on (benchmark
-    /// plumbing; see [`HotPath`]).
-    pub fn hot_path(mut self, hot_path: HotPath) -> Self {
-        self.config.hot_path = hot_path;
-        self
-    }
-
     /// Finish, yielding the configuration.
     pub fn build(self) -> DbConfig {
         self.config
@@ -359,12 +307,6 @@ struct KeyGate {
 struct ShardState<K, V> {
     objects: HashMap<K, LockState<V>>,
     gates: HashMap<K, Arc<KeyGate>>,
-}
-
-struct Shard<K, V> {
-    state: Mutex<ShardState<K, V>>,
-    /// Shard-wide condvar used by [`WakeupMode::Broadcast`] only.
-    cv: Condvar,
 }
 
 /// A parked lock waiter, registered so aborts can wake transactions that
@@ -495,7 +437,7 @@ impl<K, V> WalState<K, V> {
 
 struct DbInner<K, V> {
     registry: Registry,
-    shards: Box<[Shard<K, V>]>,
+    shards: Box<[Mutex<ShardState<K, V>>]>,
     hasher: RandomState,
     stats: Stats,
     wfg: WaitForGraph,
@@ -571,22 +513,17 @@ where
         let config_shards = config.shards.max(1);
         let max_versions = config.max_versions_per_key;
         let shards = (0..config_shards)
-            .map(|_| Shard {
-                state: Mutex::new(ShardState { objects: HashMap::new(), gates: HashMap::new() }),
-                cv: Condvar::new(),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+            .map(|_| Mutex::new(ShardState { objects: HashMap::new(), gates: HashMap::new() }))
+            .collect();
         let audit = config
             .audit
             .then(|| AuditState { log: AuditLog::new(), keymap: Mutex::new(HashMap::new()) });
-        let scaled = config.hot_path == HotPath::Scaled;
         Db {
             inner: Arc::new(DbInner {
-                registry: if scaled { Registry::new() } else { Registry::legacy() },
+                registry: Registry::new(),
                 shards,
                 hasher: RandomState::new(),
-                stats: if scaled { Stats::default() } else { Stats::striped(1) },
+                stats: Stats::default(),
                 wfg: WaitForGraph::new(),
                 config,
                 audit,
@@ -594,7 +531,7 @@ where
                 run_seq: AtomicU64::new(0),
                 wal: std::sync::OnceLock::new(),
                 ckpt: RwLock::new(()),
-                mvcc: MvccStore::with_opts(config_shards, max_versions, scaled),
+                mvcc: MvccStore::with_budget(config_shards, max_versions),
                 pipeline: CommitPipeline::new(),
                 #[cfg(feature = "chaos-hooks")]
                 injector: parking_lot::RwLock::new(None),
@@ -607,7 +544,7 @@ where
     pub fn insert(&self, key: K, value: V) -> bool {
         let inner = &self.inner;
         let shard = inner.shard_of(&key);
-        let mut guard = inner.shards[shard].state.lock();
+        let mut guard = inner.shards[shard].lock();
         if guard.objects.contains_key(&key) {
             return false;
         }
@@ -634,7 +571,7 @@ where
     pub fn committed_value(&self, key: &K) -> Option<V> {
         let inner = &self.inner;
         let shard = inner.shard_of(key);
-        let guard = inner.shards[shard].state.lock();
+        let guard = inner.shards[shard].lock();
         guard.objects.get(key).map(|s| s.base_value().clone())
     }
 
@@ -850,7 +787,7 @@ where
     pub(crate) fn raw_insert(&self, key: K, value: V, epoch: u64) -> bool {
         let inner = &self.inner;
         let shard = inner.shard_of(&key);
-        let mut guard = inner.shards[shard].state.lock();
+        let mut guard = inner.shards[shard].lock();
         if guard.objects.contains_key(&key) {
             return false;
         }
@@ -881,18 +818,17 @@ where
         self.inner.mvcc.watermark()
     }
 
-    /// Run `f` on a key's lock state with a registry view (replay only).
+    /// Run `f` on a key's lock state with the registry (replay only).
     pub(crate) fn raw_with_state<R>(
         &self,
         key: &K,
-        f: impl FnOnce(&mut LockState<V>, &RegistryView<'_>) -> R,
+        f: impl FnOnce(&mut LockState<V>, &Registry) -> R,
     ) -> Option<R> {
         let inner = &self.inner;
         let shard = inner.shard_of(key);
-        let mut guard = inner.shards[shard].state.lock();
+        let mut guard = inner.shards[shard].lock();
         let state = guard.objects.get_mut(key)?;
-        let view = inner.registry.read_view();
-        Some(f(state, &view))
+        Some(f(state, &inner.registry))
     }
 
     pub(crate) fn registry(&self) -> &Registry {
@@ -911,7 +847,7 @@ where
         let Some(audit) = &self.inner.audit else { return };
         let mut keymap = audit.keymap.lock();
         for shard in self.inner.shards.iter() {
-            let guard = shard.state.lock();
+            let guard = shard.lock();
             for (key, state) in guard.objects.iter() {
                 // Contains-first keeps registration idempotent (a key
                 // already mapped keeps its id and is not re-registered)
@@ -976,18 +912,15 @@ where
     /// allowed to defer — so the harness may call it at any point.
     pub fn chaos_reap_all(&self) {
         for shard in self.inner.shards.iter() {
-            let mut guard = shard.state.lock();
-            let view = self.inner.registry.read_view();
+            let mut guard = shard.lock();
             for state in guard.objects.values_mut() {
-                state.reap(&view);
+                state.reap(&self.inner.registry);
             }
-            drop(view);
             // Every key's state may have changed: wake all gates.
             for gate in guard.gates.values() {
                 gate.generation.fetch_add(1, Ordering::Relaxed);
                 gate.cv.notify_all();
             }
-            shard.cv.notify_all();
         }
     }
 
@@ -1001,10 +934,9 @@ where
         let mut out = Vec::new();
         let quiescent = self.inner.registry.chaos_active().is_empty();
         for shard in self.inner.shards.iter() {
-            let guard = shard.state.lock();
-            let view = self.inner.registry.read_view();
+            let guard = shard.lock();
             for (key, state) in guard.objects.iter() {
-                if let Err(violation) = state.chaos_check(&view) {
+                if let Err(violation) = state.chaos_check(&self.inner.registry) {
                     out.push(format!("{key:?}: {violation}"));
                 }
                 if quiescent
@@ -1372,13 +1304,10 @@ where
         let Some(w) = self.wal.get() else { return Ok(()) };
         let _latch = self.ckpt.write();
         let mut guards: Vec<MutexGuard<'_, ShardState<K, V>>> =
-            self.shards.iter().map(|s| s.state.lock()).collect();
-        {
-            let view = self.registry.read_view();
-            for guard in guards.iter_mut() {
-                for state in guard.objects.values_mut() {
-                    state.reap(&view);
-                }
+            self.shards.iter().map(|s| s.lock()).collect();
+        for guard in guards.iter_mut() {
+            for state in guard.objects.values_mut() {
+                state.reap(&self.registry);
             }
         }
         let mut snapshot = Vec::new();
@@ -1432,8 +1361,8 @@ where
 
     /// Run one lock-acquiring operation with conflict resolution.
     ///
-    /// Lock order is always shard → registry-read (→ waiting); the
-    /// registry view is dropped before any condvar wait so registry
+    /// Lock order is always shard → registry-read (→ waiting); registry
+    /// queries hold a registry shard lock only for the lookup, so registry
     /// writers (transaction begins) are never blocked by a sleeping
     /// waiter. The shard guard itself is held from the conflict check
     /// through the wait — the condvar releases it atomically — which is
@@ -1444,17 +1373,13 @@ where
         t: TxnId,
         top_level: bool,
         key: &K,
-        mut op: impl FnMut(
-            &mut LockState<V>,
-            &RegistryView<'_>,
-        ) -> Result<(R, Option<AuditRecord>), Conflict>,
+        mut op: impl FnMut(&mut LockState<V>, &Registry) -> Result<(R, Option<AuditRecord>), Conflict>,
     ) -> Result<R, TxnError> {
         let start = Instant::now();
         let shard_idx = self.shard_of(key);
-        let shard = &self.shards[shard_idx];
-        let mut guard = shard.state.lock();
+        let mut guard = self.shards[shard_idx].lock();
+        let reg = &self.registry;
         loop {
-            let view = self.registry.read_view();
             // The liveness preamble runs only for nested transactions,
             // by [`DbInner::opt_preamble`]'s argument: orphanhood means
             // an ancestor died, which a top-level transaction has none
@@ -1464,11 +1389,11 @@ where
             // level); skipping it keeps two registry lookups off every
             // locked access of the dominant transaction shape.
             if !top_level {
-                match view.status(t) {
+                match reg.status(t) {
                     Some(TxnStatus::Active) => {}
                     _ => return Err(TxnError::NotActive),
                 }
-                if view.is_dead(t) {
+                if reg.is_dead(t) {
                     return Err(TxnError::Orphaned);
                 }
             }
@@ -1487,7 +1412,7 @@ where
             let Some(state) = guard.objects.get_mut(key) else {
                 return Err(TxnError::UnknownKey);
             };
-            let conflict = match op(state, &view) {
+            let conflict = match op(state, reg) {
                 Ok((out, record)) => {
                     if let (Some(audit), Some(record)) = (&self.audit, record) {
                         // Appended under the shard lock so the log order is
@@ -1505,32 +1430,30 @@ where
                     return Err(TxnError::Die { blocker: conflict.blockers[0] });
                 }
                 DeadlockPolicy::Timeout => {
-                    drop(view);
                     let elapsed = start.elapsed();
                     if elapsed >= self.config.lock_timeout {
                         self.stats.bump(|b| &b.timeouts);
                         return Err(TxnError::Timeout(self.config.lock_timeout));
                     }
                     let bound = (self.config.lock_timeout - elapsed).min(self.config.wait_slice);
-                    self.wait_for_key_change(&mut guard, shard, shard_idx, key, t, bound)?;
+                    self.wait_for_key_change(&mut guard, shard_idx, key, t, bound)?;
                 }
                 DeadlockPolicy::WaitDie => {
                     // Wait-die on (root, id): older requesters wait, younger
                     // die. The id tie-break covers sibling subtransactions
                     // of one top-level transaction (equal roots), which
                     // could otherwise deadlock against each other.
-                    let my_root = view.root(t).ok_or(TxnError::NotActive)?;
+                    let my_root = reg.root(t).ok_or(TxnError::NotActive)?;
                     let older_blocker = conflict
                         .blockers
                         .iter()
-                        .find(|&&b| view.root(b).is_some_and(|r| (r, b) < (my_root, t)));
+                        .find(|&&b| reg.root(b).is_some_and(|r| (r, b) < (my_root, t)));
                     if let Some(&b) = older_blocker {
                         self.stats.bump(|b| &b.dies);
                         return Err(TxnError::Die { blocker: b });
                     }
-                    drop(view);
                     let bound = self.config.wait_slice;
-                    self.wait_for_key_change(&mut guard, shard, shard_idx, key, t, bound)?;
+                    self.wait_for_key_change(&mut guard, shard_idx, key, t, bound)?;
                 }
                 DeadlockPolicy::Detect => {
                     // Waiting on a holder means waiting on its whole active
@@ -1541,15 +1464,13 @@ where
                     // keeps growing while waiters are parked, and cycles
                     // closed by later-begun children must still be found.
                     if let Some(cycle) =
-                        self.wfg.block(t, &conflict.blockers, |b| view.active_subtree(b))
+                        self.wfg.block(t, &conflict.blockers, |b| reg.active_subtree(b))
                     {
                         self.stats.bump(|b| &b.deadlocks);
                         return Err(TxnError::Deadlock { cycle });
                     }
-                    drop(view);
                     let bound = self.config.wait_slice;
-                    let woke =
-                        self.wait_for_key_change(&mut guard, shard, shard_idx, key, t, bound);
+                    let woke = self.wait_for_key_change(&mut guard, shard_idx, key, t, bound);
                     self.wfg.unblock(t);
                     woke?;
                 }
@@ -1559,8 +1480,8 @@ where
 
     /// Park `t` until `key`'s lock state may have changed, for at most
     /// `bound`. The caller holds the shard guard; this registers the wait,
-    /// re-checks liveness, sleeps on the key's gate (or the shard condvar
-    /// in broadcast mode), classifies the wakeup, and deregisters.
+    /// re-checks liveness, sleeps on the key's gate, classifies the
+    /// wakeup, and deregisters.
     ///
     /// Returns `Err(Orphaned)` if `t` died before sleeping. The liveness
     /// re-check happens *after* registration: an abort first marks the
@@ -1572,7 +1493,6 @@ where
     fn wait_for_key_change(
         &self,
         guard: &mut MutexGuard<'_, ShardState<K, V>>,
-        shard: &Shard<K, V>,
         shard_idx: usize,
         key: &K,
         t: TxnId,
@@ -1588,14 +1508,11 @@ where
         let gen_before = gate.generation.load(Ordering::Relaxed);
         gate.waiters.fetch_add(1, Ordering::Relaxed);
         self.waiting.lock().push(WaitEntry { txn: t, shard: shard_idx, gate: gate.clone() });
-        let died = self.registry.read_view().is_dead(t);
+        let died = self.registry.is_dead(t);
         if !died {
             self.stats.bump(|b| &b.waits);
             let slept = Instant::now();
-            match self.config.wakeups {
-                WakeupMode::Targeted => gate.cv.wait_for(guard, bound),
-                WakeupMode::Broadcast => shard.cv.wait_for(guard, bound),
-            };
+            gate.cv.wait_for(guard, bound);
             self.stats.add(|b| &b.wait_nanos, slept.elapsed().as_nanos() as u64);
             if gate.generation.load(Ordering::Relaxed) != gen_before {
                 self.stats.bump(|b| &b.wakeups_productive);
@@ -1632,16 +1549,11 @@ where
     /// Wake the waiters of `key` after its lock state changed. Must be
     /// called under the shard lock (so the generation bump is ordered
     /// against every waiter's pre-sleep generation read).
-    fn notify_released(&self, state: &ShardState<K, V>, shard: &Shard<K, V>, key: &K) {
+    fn notify_released(&self, state: &ShardState<K, V>, key: &K) {
         if let Some(gate) = state.gates.get(key) {
             gate.generation.fetch_add(1, Ordering::Relaxed);
             self.stats.bump(|b| &b.notifies);
-            if self.config.wakeups == WakeupMode::Targeted {
-                gate.cv.notify_all();
-            }
-        }
-        if self.config.wakeups == WakeupMode::Broadcast {
-            shard.cv.notify_all();
+            gate.cv.notify_all();
         }
     }
 
@@ -1678,19 +1590,16 @@ where
     ) {
         let parent = self.registry.parent(t);
         for key in keys {
-            let shard = &self.shards[self.shard_of(key)];
-            let mut guard = shard.state.lock();
+            let mut guard = self.shards[self.shard_of(key)].lock();
             if let Some(state) = guard.objects.get_mut(key) {
                 if commit {
-                    // Shard → registry-read, the global lock order.
-                    let view = self.registry.read_view();
                     // Only keys `t` actually wrote (own writes plus
                     // versions inherited from committed children) change
                     // the committed state; read-locked keys publish no
                     // version.
                     let wrote = publish_epoch.is_some() && state.write_holders().any(|h| h == t);
-                    state.commit_to_parent(t, parent, &view);
-                    drop(view);
+                    // Shard → registry-read, the global lock order.
+                    state.commit_to_parent(t, parent, &self.registry);
                     if wrote {
                         let epoch = publish_epoch.expect("checked above");
                         self.mvcc.append(key, epoch, state.base_value().clone());
@@ -1699,7 +1608,7 @@ where
                     state.abort_discard(t);
                 }
             }
-            self.notify_released(&guard, shard, key);
+            self.notify_released(&guard, key);
         }
     }
 
@@ -1714,19 +1623,16 @@ where
             if waiting.is_empty() {
                 return;
             }
-            let view = self.registry.read_view();
             waiting
                 .iter()
-                .filter(|e| view.is_dead(e.txn))
+                .filter(|e| self.registry.is_dead(e.txn))
                 .map(|e| (e.shard, e.gate.clone()))
                 .collect()
         };
         for (shard_idx, gate) in doomed {
-            let shard = &self.shards[shard_idx];
-            let _guard = shard.state.lock();
+            let _guard = self.shards[shard_idx].lock();
             gate.generation.fetch_add(1, Ordering::Relaxed);
             gate.cv.notify_all();
-            shard.cv.notify_all();
         }
     }
 
@@ -1745,12 +1651,11 @@ where
     /// vacuous), so locking/optimistic control flow still agrees.
     fn opt_preamble(&self, t: TxnId, shard_idx: usize, is_top: bool) -> Result<(), TxnError> {
         if !is_top {
-            let view = self.registry.read_view();
-            match view.status(t) {
+            match self.registry.status(t) {
                 Some(TxnStatus::Active) => {}
                 _ => return Err(TxnError::NotActive),
             }
-            if view.is_dead(t) {
+            if self.registry.is_dead(t) {
                 return Err(TxnError::Orphaned);
             }
         }
@@ -1775,7 +1680,7 @@ where
     /// abort may have unpinned our snapshot and let GC compact the chain
     /// mid-read, so a dead transaction reports orphanhood, not absence.
     fn opt_absent_error(&self, t: TxnId) -> TxnError {
-        if self.registry.read_view().is_dead(t) {
+        if self.registry.is_dead(t) {
             TxnError::Orphaned
         } else {
             TxnError::UnknownKey
@@ -1798,9 +1703,8 @@ where
             return;
         }
         let Some(object) = self.audit_object(key) else { return };
-        let view = self.registry.read_view();
         opt.audit_buf.lock().push(AuditRecord::Access {
-            path: access_path(&view, t),
+            path: access_path(&self.registry, t),
             object,
             update,
             seen,
@@ -1836,13 +1740,12 @@ where
     /// publish → shard → mvcc-shard order as the locking commit path).
     fn publish_optimistic_writes(&self, writes: &std::collections::BTreeMap<K, V>, epoch: u64) {
         for (key, value) in writes {
-            let shard = &self.shards[self.shard_of(key)];
-            let mut guard = shard.state.lock();
+            let mut guard = self.shards[self.shard_of(key)].lock();
             if let Some(state) = guard.objects.get_mut(key) {
                 state.publish_base(value.clone());
             }
             self.mvcc.append(key, epoch, value.clone());
-            self.notify_released(&guard, shard, key);
+            self.notify_released(&guard, key);
         }
     }
 }
@@ -2398,7 +2301,7 @@ where
 }
 
 /// Allocate the action-tree path of a fresh access leaf under `t`.
-fn access_path(reg: &RegistryView<'_>, t: TxnId) -> Vec<u32> {
+fn access_path(reg: &Registry, t: TxnId) -> Vec<u32> {
     let mut path = reg.path(t).expect("txn registered");
     path.push(reg.alloc_child_index(t).expect("txn registered"));
     path
@@ -2673,14 +2576,12 @@ mod tests {
             .lock_timeout(Duration::from_millis(7))
             .wait_slice(Duration::from_micros(300))
             .audit(true)
-            .wakeups(WakeupMode::Broadcast)
             .build();
         assert_eq!(config.shards, 64);
         assert_eq!(config.policy, DeadlockPolicy::WaitDie);
         assert_eq!(config.lock_timeout, Duration::from_millis(7));
         assert_eq!(config.wait_slice, Duration::from_micros(300));
         assert!(config.audit);
-        assert_eq!(config.wakeups, WakeupMode::Broadcast);
     }
 
     #[test]

@@ -139,13 +139,13 @@ where
     }
     let keys = touched.remove(&id).unwrap_or_default();
     for key in &keys {
-        let published = db.raw_with_state(key, |state, view| {
+        let published = db.raw_with_state(key, |state, reg| {
             // Mirror the live engine's publication rule: a top-level
             // commit appends a chain version for exactly the keys the
             // committer holds a write lock on (its own writes plus
             // inherited ones).
             let wrote = publish_epoch.is_some() && state.write_holders().any(|h| h == id);
-            state.commit_to_parent(id, parent, view);
+            state.commit_to_parent(id, parent, reg);
             wrote.then(|| state.base_value().clone())
         });
         if let Some(Some(value)) = published {
@@ -232,8 +232,8 @@ where
                 let key = K::decode(key).ok_or_else(|| replay_err("undecodable key"))?;
                 let value = V::decode(version).ok_or_else(|| replay_err("undecodable version"))?;
                 let granted = db
-                    .raw_with_state(&key, |state, view| {
-                        state.try_write(id, view, |_| value.clone()).is_ok()
+                    .raw_with_state(&key, |state, reg| {
+                        state.try_write(id, reg, |_| value.clone()).is_ok()
                     })
                     .ok_or_else(|| replay_err(format!("record {i}: write to unseeded key")))?;
                 if !granted {

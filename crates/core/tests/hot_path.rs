@@ -1,127 +1,71 @@
-//! Both `HotPath` arms through the public `Db` surface.
-//!
-//! `HotPath::Legacy` is the compiled-in benchmark baseline (single-map
-//! registry, unstriped stats, fully locked pins); `HotPath::Scaled` is
-//! the default. These tests run the same workloads through both and
-//! assert the toggle is unobservable: identical committed state on
-//! deterministic histories, the same stats conservation identities, and
-//! the same snapshot pin/unpin behavior under concurrency.
+//! The hot-path internals under concurrency, through the public `Db`
+//! surface: the striped stats ledger and the lock-free snapshot pins.
 
-use rnt_core::{Db, DbConfig, DeadlockPolicy, HotPath};
+use rnt_core::{Db, DbConfig, DeadlockPolicy};
 use std::sync::Arc;
 
-fn db_with(hot_path: HotPath) -> Db<u64, i64> {
-    let config =
-        DbConfig::builder().policy(DeadlockPolicy::NoWait).shards(4).hot_path(hot_path).build();
-    Db::with_config(config)
+fn db() -> Db<u64, i64> {
+    Db::with_config(DbConfig::builder().policy(DeadlockPolicy::NoWait).shards(4).build())
 }
 
-const ARMS: [HotPath; 2] = [HotPath::Legacy, HotPath::Scaled];
-
-/// A deterministic single-threaded history commits to identical state
-/// under both arms, and the stats ledger balances identically.
+/// Concurrent commits from many threads conserve the stats ledger — the
+/// striped fold must lose nothing a single counter would have counted.
 #[test]
-fn arms_agree_on_deterministic_history() {
-    let mut finals = Vec::new();
-    for arm in ARMS {
-        let db = db_with(arm);
-        for k in 0..64u64 {
-            db.insert(k, 0);
-        }
-        for round in 0..10i64 {
-            for k in 0..64u64 {
-                if (k + round as u64).is_multiple_of(7) {
-                    // Aborted work must restore the pre-image.
-                    let t = db.begin();
-                    t.rmw(&k, |v| v + 1000).unwrap();
-                    t.abort();
-                } else {
-                    db.run(|t| {
-                        let v = t.read(&k)?;
-                        let c = t.child().unwrap();
-                        c.rmw(&k, move |_| v + round)?;
-                        c.commit()?;
-                        Ok(())
-                    })
-                    .unwrap();
+fn stats_conservation_under_concurrency() {
+    let db = Arc::new(db());
+    for k in 0..32u64 {
+        db.insert(k, 0);
+    }
+    std::thread::scope(|s| {
+        for w in 0..8u64 {
+            let db = db.clone();
+            s.spawn(move || {
+                for i in 0..200u64 {
+                    let k = (w * 31 + i) % 32;
+                    db.run(|t| t.rmw(&k, |v| v + 1)).unwrap();
                 }
-            }
+            });
         }
-        let s = db.stats();
-        assert_eq!(s.begun, s.committed + s.aborted, "{arm:?} ledger");
-        assert!(s.reads > 0 && s.writes > 0, "{arm:?} op counters");
-        finals.push((
-            (0..64u64).map(|k| db.committed_value(&k).unwrap()).collect::<Vec<_>>(),
-            (s.begun, s.committed, s.aborted, s.reads, s.writes),
-        ));
-    }
-    assert_eq!(finals[0], finals[1], "arms diverged");
-}
-
-/// Concurrent commits from many threads conserve the stats ledger in
-/// both arms — the striped fold must lose nothing the single block
-/// would have counted.
-#[test]
-fn stats_conservation_under_concurrency_both_arms() {
-    for arm in ARMS {
-        let db = Arc::new(db_with(arm));
-        for k in 0..32u64 {
-            db.insert(k, 0);
-        }
-        std::thread::scope(|s| {
-            for w in 0..8u64 {
-                let db = db.clone();
-                s.spawn(move || {
-                    for i in 0..200u64 {
-                        let k = (w * 31 + i) % 32;
-                        db.run(|t| t.rmw(&k, |v| v + 1)).unwrap();
-                    }
-                });
-            }
-        });
-        let s = db.stats();
-        assert_eq!(s.begun, s.committed + s.aborted, "{arm:?} ledger");
-        assert_eq!(s.committed, 8 * 200, "{arm:?} every quota commit counted");
-        let total: i64 = (0..32u64).map(|k| db.committed_value(&k).unwrap()).sum();
-        assert_eq!(total, 8 * 200, "{arm:?} committed effects");
-    }
+    });
+    let s = db.stats();
+    assert_eq!(s.begun, s.committed + s.aborted, "ledger");
+    assert_eq!(s.committed, 8 * 200, "every quota commit counted");
+    let total: i64 = (0..32u64).map(|k| db.committed_value(&k).unwrap()).sum();
+    assert_eq!(total, 8 * 200, "committed effects");
 }
 
 /// Snapshots opened under write churn stay consistent and release their
-/// pins in both arms — the lock-free pin ring and the legacy mutexed
-/// table must be interchangeable through the public API.
+/// pins: afterwards no pin is live and a fresh snapshot sees the final
+/// state.
 #[test]
-fn snapshot_pins_release_under_churn_both_arms() {
-    for arm in ARMS {
-        let db = Arc::new(db_with(arm));
-        for k in 0..16u64 {
-            db.insert(k, 0);
-        }
-        std::thread::scope(|s| {
-            let writer = db.clone();
-            s.spawn(move || {
-                for i in 0..500i64 {
-                    writer.run(|t| t.rmw(&(i as u64 % 16), |v| v + 1)).unwrap();
-                }
-            });
-            for _ in 0..4 {
-                let reader = db.clone();
-                s.spawn(move || {
-                    for _ in 0..200 {
-                        let snap = reader.snapshot();
-                        // A snapshot is a frozen epoch: re-reading a key
-                        // must be stable no matter what the writer does.
-                        let before = snap.read(&3);
-                        let after = snap.read(&3);
-                        assert_eq!(before, after, "{arm:?} snapshot drifted");
-                    }
-                });
+fn snapshot_pins_release_under_churn() {
+    let db = Arc::new(db());
+    for k in 0..16u64 {
+        db.insert(k, 0);
+    }
+    std::thread::scope(|s| {
+        let writer = db.clone();
+        s.spawn(move || {
+            for i in 0..500i64 {
+                writer.run(|t| t.rmw(&(i as u64 % 16), |v| v + 1)).unwrap();
             }
         });
-        // All pins released: a fresh snapshot sees the final state and
-        // the epoch floor is free to advance past the churn.
-        let snap = db.snapshot();
-        let total: i64 = (0..16u64).map(|k| snap.read(&k).unwrap()).sum();
-        assert_eq!(total, 500, "{arm:?} final state");
-    }
+        for _ in 0..4 {
+            let reader = db.clone();
+            s.spawn(move || {
+                for _ in 0..200 {
+                    let snap = reader.snapshot();
+                    // A snapshot is a frozen epoch: re-reading a key must
+                    // be stable no matter what the writer does.
+                    let before = snap.read(&3);
+                    let after = snap.read(&3);
+                    assert_eq!(before, after, "snapshot drifted");
+                }
+            });
+        }
+    });
+    assert_eq!(db.stats().snapshot_pins_live, 0, "every pin released");
+    let snap = db.snapshot();
+    let total: i64 = (0..16u64).map(|k| snap.read(&k).unwrap()).sum();
+    assert_eq!(total, 500, "final state");
 }

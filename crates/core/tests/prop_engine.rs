@@ -38,7 +38,6 @@ proptest! {
             abort_prob: abort_pct as f64 / 100.0,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed,
         };
         run_workload(&db, &w);
@@ -73,7 +72,6 @@ proptest! {
             abort_prob: 0.1,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed,
         };
         let r = run_workload(&db, &w);

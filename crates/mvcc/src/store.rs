@@ -117,13 +117,16 @@ pub enum PinError {
 ///   epoch ≤ watermark has all its versions appended. Snapshots pin the
 ///   watermark, so a pin never dangles over a half-published commit.
 /// * the **publish lock** — serializes top-level publication (epoch
-///   assignment → chain appends → watermark advance) *and* pin creation.
-///   Without it, a commit at epoch `w+1` could garbage-collect the
-///   version a snapshot racing to pin `w` is about to need; with it, a
-///   pin either lands before the publisher reads the pin set (and is
-///   respected) or after the watermark advanced (and pins `w+1`).
-/// * `min_pin` — cached minimum live pin (`u64::MAX` when none), read on
-///   the append path so reclamation needs no pin-table lock.
+///   assignment → chain appends → watermark advance) against pin
+///   creation. Without it, a commit at epoch `w+1` could garbage-collect
+///   the version a snapshot racing to pin `w` is about to need; with it,
+///   a pin either lands before the publisher reads the pin set (and is
+///   respected) or after the watermark advanced (and pins `w+1`). The
+///   fast pin gets the same guarantee from the publish seqlock instead
+///   of the lock (see [`MvccStore::pin`]).
+/// * `min_pin` — a lower bound on the minimum live pin (`u64::MAX` when
+///   none), read on the append path so reclamation needs no pin-table
+///   lock.
 ///
 /// **Reclamation rule**: a version may be dropped iff it has a successor
 /// and the successor's epoch is ≤ the minimum live pin. (A pin `P` reads
@@ -175,15 +178,14 @@ pub struct MvccStore<K, V> {
     /// detect registrations racing its recompute-and-store of `min_pin`.
     reg_seq: AtomicU64,
     /// Gauge of live pins across ring and tree (the `pins_live` counter
-    /// and the quiescence trigger for sweeps in fast-pin mode).
+    /// and the quiescence trigger for sweeps).
     live_pins: AtomicU64,
-    /// Whether [`MvccStore::pin`] may use the lock-free ring fast path.
-    /// Off reproduces the pre-scaling locked pin table exactly (the
-    /// benchmark's legacy arm).
-    fast_pins: bool,
-    /// Live pins: epoch → snapshot count.
+    /// The locked pin table: epoch → pin count, for pins that did not
+    /// land in the ring.
     pins: Mutex<BTreeMap<u64, u64>>,
-    /// Cached minimum of `pins` (`u64::MAX` when empty).
+    /// Lower bound on the minimum live pin across ring and table
+    /// (`u64::MAX` when none). Pins only lower it; only
+    /// [`MvccStore::sweep_locked`] raises it.
     min_pin: AtomicU64,
     /// Oldest epoch still consistently resolvable (see the struct docs).
     oldest_retained: AtomicU64,
@@ -533,13 +535,6 @@ where
     /// oldest versions even if a live pin holds them, raising the
     /// oldest-retained bound past the dropped span.
     pub fn with_budget(shards: usize, max_versions: usize) -> Self {
-        Self::with_opts(shards, max_versions, true)
-    }
-
-    /// An empty store with full control over the scaling knobs:
-    /// `fast_pins = false` reproduces the pre-scaling locked pin table
-    /// exactly (the hot-path benchmark's legacy arm).
-    pub fn with_opts(shards: usize, max_versions: usize, fast_pins: bool) -> Self {
         MvccStore {
             shards: (0..shards.max(1))
                 .map(|_| Shard {
@@ -558,7 +553,6 @@ where
             ring: (0..RING_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             reg_seq: AtomicU64::new(0),
             live_pins: AtomicU64::new(0),
-            fast_pins,
             pins: Mutex::new(BTreeMap::new()),
             min_pin: AtomicU64::new(u64::MAX),
             oldest_retained: AtomicU64::new(GENESIS_EPOCH),
@@ -673,9 +667,9 @@ where
     /// Pin the current watermark for a snapshot. Balance with
     /// [`MvccStore::unpin`].
     ///
-    /// **Fast path** (when enabled): instead of taking the publish lock,
-    /// register in the ring and *validate* that no publisher overlapped,
-    /// via the publish seqlock. The registration order is load-bearing:
+    /// **Fast path**: instead of taking the publish lock, register in the
+    /// ring and *validate* that no publisher overlapped, via the publish
+    /// seqlock. The registration order is load-bearing:
     ///
     /// 1. read `publish_seq` — bail to the locked path if odd;
     /// 2. read the watermark `w`;
@@ -685,57 +679,50 @@ where
     /// 6. re-read `publish_seq` — if unchanged, no publisher's critical
     ///    section overlapped steps 1–5, so every later publisher reads
     ///    `min_pin` ≤ `w` *after* our step 4 and respects the pin; if it
-    ///    changed, undo the slot and retry (a publisher may have missed
-    ///    us and pruned as if we weren't there).
+    ///    changed, undo the registration and retry (a publisher may have
+    ///    missed us and pruned as if we weren't there).
     ///
-    /// This is the pre-scaling guarantee — "a pin either lands before
+    /// This is the locked path's guarantee — "a pin either lands before
     /// the publisher reads the pin set or after the watermark advance" —
     /// enforced by optimistic validation instead of the lock.
     pub fn pin(&self) -> u64 {
-        if self.fast_pins {
-            for _ in 0..FAST_PIN_TRIES {
-                let seq = self.publish_seq.load(Ordering::SeqCst);
-                if seq & 1 == 1 {
-                    break; // publisher active — queue on its lock instead
-                }
-                let epoch = self.watermark.load(Ordering::SeqCst);
-                if !self.ring_register(epoch) {
-                    break; // slot collision or overflow — locked path
-                }
-                self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-                self.reg_seq.fetch_add(1, Ordering::SeqCst);
-                if self.publish_seq.load(Ordering::SeqCst) == seq {
-                    self.live_pins.fetch_add(1, Ordering::SeqCst);
-                    return epoch;
-                }
-                // A publisher overlapped the registration: the watermark
-                // we pinned may already be stale. Undo and retry. (Ring
-                // counts at one epoch are fungible, so decrementing a
-                // slot another thread also bumped nets out correctly;
-                // `min_pin` stays conservatively low until a settle.)
-                self.ring_unregister(epoch);
+        for _ in 0..FAST_PIN_TRIES {
+            let seq = self.publish_seq.load(Ordering::SeqCst);
+            if seq & 1 == 1 {
+                break; // publisher active — queue on its lock instead
             }
+            let epoch = self.watermark.load(Ordering::SeqCst);
+            if !self.ring_register(epoch) {
+                break; // slot collision or overflow — locked path
+            }
+            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
+            self.reg_seq.fetch_add(1, Ordering::SeqCst);
+            if self.publish_seq.load(Ordering::SeqCst) == seq {
+                self.live_pins.fetch_add(1, Ordering::SeqCst);
+                return epoch;
+            }
+            // A publisher overlapped the registration: the watermark we
+            // pinned may already be stale. Undo and retry. The undo goes
+            // through the shared release, not straight to the ring: a
+            // concurrent unpin at this epoch may already have taken our
+            // ring count, leaving its own table count for us to take.
+            // `live_pins` is untouched — this pin never added to it — and
+            // `min_pin` stays conservatively low until a settle.
+            self.release(epoch);
         }
         self.pin_slow()
     }
 
     /// The locked pin path: serialized against publishers by the publish
-    /// lock (see the struct docs for why). In legacy mode this *is*
-    /// [`MvccStore::pin`], byte for byte the pre-scaling behavior.
+    /// lock (see the struct docs for why).
     fn pin_slow(&self) -> u64 {
         let _publish = self.publish.lock();
         let epoch = self.watermark.load(Ordering::Acquire);
-        let mut pins = self.pins.lock();
-        *pins.entry(epoch).or_insert(0) += 1;
-        if self.fast_pins {
-            // Ring pins may sit below the tree minimum, so never
-            // recompute-and-store here — only lower. Raising `min_pin`
-            // is exclusively `sweep_locked`'s job.
-            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-        } else {
-            let min = *pins.keys().next().expect("just inserted");
-            self.min_pin.store(min, Ordering::Release);
-        }
+        *self.pins.lock().entry(epoch).or_insert(0) += 1;
+        // Ring pins may sit below the table minimum, so never
+        // recompute-and-store here — only lower. Raising `min_pin` is
+        // exclusively `sweep_locked`'s job.
+        self.min_pin.fetch_min(epoch, Ordering::SeqCst);
         self.live_pins.fetch_add(1, Ordering::SeqCst);
         epoch
     }
@@ -758,49 +745,23 @@ where
             return Err(PinError::Pruned { requested: epoch, oldest_retained });
         }
         *pins.entry(epoch).or_insert(0) += 1;
-        if self.fast_pins {
-            // Only lower: ring pins may sit below the tree minimum.
-            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-        } else {
-            let min = *pins.keys().next().expect("just inserted");
-            self.min_pin.store(min, Ordering::Release);
-        }
+        // Only lower: ring pins may sit below the table minimum.
+        self.min_pin.fetch_min(epoch, Ordering::SeqCst);
         self.live_pins.fetch_add(1, Ordering::SeqCst);
         Ok(epoch)
     }
 
     /// Add one more pin to an epoch that is already pinned (snapshot
-    /// cloning). The epoch's versions are protected by the existing pin,
-    /// so no publisher/sweep coordination is needed.
-    ///
-    /// # Panics
-    /// If `epoch` has no live pin (debug builds).
+    /// cloning). The epoch's versions are protected by the existing pin
+    /// (ring or table), so no publisher validation is needed — the count
+    /// lands wherever there is room.
     pub fn repin(&self, epoch: u64) {
-        if self.fast_pins {
-            // The epoch is already protected by the caller's existing
-            // pin (ring or tree), so no publisher validation is needed —
-            // just land the count wherever there is room.
-            if self.ring_register(epoch) {
-                self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-                self.reg_seq.fetch_add(1, Ordering::SeqCst);
-            } else {
-                // The base pin may live in the ring, so a missing tree
-                // entry is legitimate here (unlike legacy mode).
-                *self.pins.lock().entry(epoch).or_insert(0) += 1;
-                self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-            }
-            self.live_pins.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
-        let mut pins = self.pins.lock();
-        match pins.get_mut(&epoch) {
-            Some(n) => *n += 1,
-            None => {
-                debug_assert!(false, "repin of an epoch never pinned");
-                pins.insert(epoch, 1);
-                let min = *pins.keys().next().expect("just inserted");
-                self.min_pin.store(min, Ordering::Release);
-            }
+        if self.ring_register(epoch) {
+            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
+            self.reg_seq.fetch_add(1, Ordering::SeqCst);
+        } else {
+            *self.pins.lock().entry(epoch).or_insert(0) += 1;
+            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
         }
         self.live_pins.fetch_add(1, Ordering::SeqCst);
     }
@@ -810,40 +771,65 @@ where
     /// of reclamation: once all snapshots drop, chains shrink back to
     /// length 1.
     ///
-    /// **Fast-pin mode**: a ring-resident pin releases with one CAS; the
-    /// `min_pin` raise, `oldest_retained` concession and sweep happen at
-    /// sweep points only — quiescence (the gauge draining) or the
-    /// [`SWEEP_EVERY`] staleness bound — inside [`MvccStore::sweep_locked`],
-    /// which takes the publish lock so the recompute can never race a
-    /// publisher. Deferring the floor raise is safe: the floor only ever
-    /// lags, admitting `pin_at`s the per-unpin raise would have rejected
-    /// a little earlier, and those epochs are still resolvable (nothing
-    /// was swept). Ring and tree counts at one epoch are fungible, so
-    /// releasing "a" pin at the epoch — whichever copy is found first —
-    /// keeps the totals exact.
+    /// A ring-resident pin releases with one CAS; the `min_pin` raise,
+    /// `oldest_retained` concession and sweep happen at sweep points
+    /// only, inside [`MvccStore::sweep_locked`], which takes the publish
+    /// lock so the recompute can never race a publisher. Deferring the
+    /// floor raise is safe: the floor only ever lags, admitting `pin_at`s
+    /// an eager raise would have rejected a little earlier, and those
+    /// epochs are still resolvable (nothing was swept).
+    ///
+    /// Sweeping is amortized: while other pins are live, most unpins skip
+    /// it (appends already prune their own chains eagerly, so only
+    /// written-then-idle chains wait on a sweep). Skipping is always safe
+    /// — it only delays reclamation, never drops more — and two events
+    /// force a real sweep: the live-pin gauge draining (quiescence:
+    /// chains must collapse the moment the last snapshot lets go) and a
+    /// staleness bound of [`SWEEP_EVERY`] unpins, so a busy store still
+    /// reclaims promptly. Without this, every snapshot drop and every
+    /// optimistic commit would serialize behind a store-wide walk.
     pub fn unpin(&self, epoch: u64) {
-        if !self.fast_pins {
-            return self.unpin_legacy(epoch);
-        }
-        if !self.ring_unregister(epoch) {
-            // Tree-resident pin (collision/overflow/`pin_at`).
-            let mut pins = self.pins.lock();
-            match pins.get_mut(&epoch) {
-                Some(n) if *n > 1 => *n -= 1,
-                Some(_) => {
-                    pins.remove(&epoch);
-                }
-                None => {
-                    debug_assert!(false, "unpin of an epoch never pinned");
-                    return;
-                }
-            }
+        if !self.release(epoch) {
+            return;
         }
         let left = self.live_pins.fetch_sub(1, Ordering::SeqCst) - 1;
         let backlog = self.unswept.fetch_add(1, Ordering::Relaxed) + 1;
         if left == 0 || backlog >= SWEEP_EVERY {
             self.sweep_locked();
         }
+    }
+
+    /// Take one pin count at `epoch`: the ring's if it holds one, else the
+    /// table's. The one release path, shared by [`MvccStore::unpin`] and
+    /// the undo of a fast pin that failed validation.
+    ///
+    /// Ring and table counts at one epoch are fungible: the live pin count
+    /// at `e` is the ring count plus the table count, so a release takes
+    /// *a* count at its epoch, not necessarily the copy its own pin
+    /// registered. That holds on the undo path too — its ring count may
+    /// already have been taken by a concurrent unpin of a table pin at the
+    /// same epoch, and then the table count is the one left for it. Were
+    /// the undo to give up instead, that table entry would never be
+    /// removed and every later sweep would use its epoch as the floor.
+    ///
+    /// Returns false (and trips a debug assertion) if neither holds a
+    /// count at `epoch` — a release of an epoch never pinned.
+    fn release(&self, epoch: u64) -> bool {
+        if self.ring_unregister(epoch) {
+            return true;
+        }
+        let mut pins = self.pins.lock();
+        match pins.get_mut(&epoch) {
+            Some(n) if *n > 1 => *n -= 1,
+            Some(_) => {
+                pins.remove(&epoch);
+            }
+            None => {
+                debug_assert!(false, "release of an epoch never pinned");
+                return false;
+            }
+        }
+        true
     }
 
     /// Raise `min_pin` and the `oldest_retained` floor to the settled
@@ -853,6 +839,22 @@ where
     /// pin the current watermark, and no prune drops a chain's newest
     /// version (epoch ≤ watermark), so they are safe under any bound
     /// this computes.
+    ///
+    /// The floor is conceded *before* pruning, inside the pin-table lock:
+    /// a concurrent `pin_at` either locks the table after us (sees the
+    /// raise, rejects an epoch the sweep may drop) or locked it before us
+    /// (its pin is in `pins`, so `min` respects it). Capped at the
+    /// watermark so a pin-free store still allows pinning the present.
+    ///
+    /// The sweep itself must also run inside the pin-table lock. If it
+    /// ran after releasing it with the captured `min`, a fresh pin could
+    /// land (its epoch ≥ the raised floor, so `pin_at` admits it) and a
+    /// publisher could append — pruning that chain down to the new pin,
+    /// correctly — before our stale, laxer `min` swept the very version
+    /// the new pin resolves to. Holding the lock makes pin accounting and
+    /// its sweep one atomic step; new pins wait, and everything they need
+    /// survives a prune at `min` (prune keeps the newest version ≤ `min`
+    /// and all later ones).
     fn sweep_locked(&self) {
         let _publish = self.publish.lock();
         let pins = self.pins.lock();
@@ -862,60 +864,6 @@ where
         self.oldest_retained.fetch_max(min.min(cap), Ordering::AcqRel);
         self.unswept.store(0, Ordering::Relaxed);
         self.sweep(min);
-        drop(pins);
-    }
-
-    /// The pre-scaling unpin, byte for byte (plus the live-pin gauge):
-    /// every release recomputes the minimum, concedes the floor, and
-    /// sweeps at quiescence or staleness — all inside the pin-table lock.
-    fn unpin_legacy(&self, epoch: u64) {
-        let mut pins = self.pins.lock();
-        match pins.get_mut(&epoch) {
-            Some(n) if *n > 1 => {
-                *n -= 1;
-                self.live_pins.fetch_sub(1, Ordering::SeqCst);
-            }
-            Some(_) => {
-                pins.remove(&epoch);
-                self.live_pins.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => debug_assert!(false, "unpin of an epoch never pinned"),
-        }
-        let min = pins.keys().next().copied().unwrap_or(u64::MAX);
-        self.min_pin.store(min, Ordering::Release);
-        // Concede everything below the sweep bound *before* pruning,
-        // still inside the pin-table lock: a concurrent `pin_at` either
-        // locks the table after us (sees the raise, rejects an epoch the
-        // sweep may drop) or locked it before us (its pin is in `pins`,
-        // so `min` respects it). Capped at the watermark so a pin-free
-        // store still allows pinning the present.
-        let cap = self.watermark.load(Ordering::Acquire);
-        self.oldest_retained.fetch_max(min.min(cap), Ordering::AcqRel);
-        // The sweep itself must also run inside the pin-table lock. If it
-        // ran after releasing it with the captured `min`, a fresh pin
-        // could land (its epoch ≥ the raised floor, so `pin_at` admits
-        // it) and a publisher could append — pruning that chain down to
-        // the new pin, correctly — before our stale, laxer `min` swept
-        // the very version the new pin resolves to. Holding the lock
-        // makes pin-accounting and its sweep one atomic step; new pins
-        // wait, and everything they need survives a prune at `min`
-        // (prune keeps the newest version ≤ `min` and all later ones).
-        //
-        // Sweeping is amortized: while other pins are live, most unpins
-        // skip it (appends already prune their own chains eagerly, so
-        // only written-then-idle chains wait on a sweep). Skipping is
-        // always safe — it only delays reclamation, never drops more —
-        // and two events force a real sweep: the pin table draining
-        // (quiescence: chains must collapse the moment the last snapshot
-        // lets go) and a staleness bound of [`SWEEP_EVERY`] unpins, so a
-        // busy store still reclaims promptly. Without this, every
-        // snapshot drop and every optimistic commit serializes behind a
-        // store-wide shard-lock walk under the pin-table lock.
-        let backlog = self.unswept.fetch_add(1, Ordering::Relaxed) + 1;
-        if pins.is_empty() || backlog >= SWEEP_EVERY {
-            self.unswept.store(0, Ordering::Relaxed);
-            self.sweep(min);
-        }
         drop(pins);
     }
 
@@ -1435,54 +1383,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_pins_never_lose_their_version_legacy_mode() {
-        // The same churn storm against the pre-scaling locked pin table
-        // (`fast_pins = false`), which the hot-path benchmark's legacy
-        // arm runs — it must stay exactly as safe as before.
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        const KEYS: u64 = 8;
-        let s = Arc::new(MvccStore::<u64, i64>::with_opts(4, 0, false));
-        for k in 0..KEYS {
-            s.append(&k, GENESIS_EPOCH, k as i64);
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let s = Arc::clone(&s);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut v = 0i64;
-                while !stop.load(Ordering::Relaxed) {
-                    let publish = s.begin_publish();
-                    let epoch = publish.epoch();
-                    s.append(&(v as u64 % KEYS), epoch, v);
-                    drop(publish);
-                    v += 1;
-                }
-            })
-        };
-        let pinners: Vec<_> = (0..2)
-            .map(|p| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for i in 0..5_000u64 {
-                        let pin = s.pin();
-                        let key = (p + i) % KEYS;
-                        assert!(s.read_at(&key, pin).is_some(), "live pin at {pin} lost key {key}");
-                        s.unpin(pin);
-                    }
-                })
-            })
-            .collect();
-        for h in pinners {
-            h.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        assert_eq!(s.counters().pins_live, 0);
-    }
-
-    #[test]
     fn fast_pins_fall_back_on_ring_slot_collision() {
         // Two live pins whose epochs collide modulo the ring size cannot
         // share a slot: the second lands in the locked table instead,
@@ -1522,5 +1422,28 @@ mod tests {
         s.unpin(tree_pin);
         assert_eq!(s.counters().pins_live, 0);
         assert_eq!(s.chain(&1), vec![(2, 2)]);
+    }
+
+    #[test]
+    fn failed_fast_pin_undo_takes_the_table_count() {
+        // A fast pin registers in the ring, then a publisher overlaps and
+        // the pin must undo. Meanwhile an unpin of a table pin at the same
+        // epoch took the ring count. The undo must take the table count
+        // instead; otherwise the table entry outlives every snapshot and
+        // pins the sweep floor forever.
+        let s = store();
+        s.append(&1, GENESIS_EPOCH, 0);
+        assert_eq!(commit(&s, 1, 1), 1);
+        let table_pin = s.pin_at(1).expect("watermark epoch is retained");
+        assert!(s.ring_register(1), "the fast pin's registration");
+        commit(&s, 1, 2); // the overlapping publisher
+        s.unpin(table_pin); // takes the ring count
+        assert!(s.release(1), "the undo finds the table count");
+        s.unpin(s.pin());
+        commit(&s, 1, 3);
+        s.unpin(s.pin());
+        assert_eq!(s.counters().pins_live, 0);
+        assert_eq!(s.oldest_retained(), s.watermark(), "no leaked pin holds the floor");
+        assert_eq!(s.chain(&1).len(), 1, "chains collapse once all pins drop");
     }
 }

@@ -66,14 +66,6 @@ pub struct Workload {
     /// This is the E7 resilience knob: the same hazard per unit of work,
     /// different blast radius.
     pub op_abort_prob: f64,
-    /// Presample each top-level transaction's keys, sort them globally,
-    /// and deal consecutive slices to its subtransactions in execution
-    /// order — so the whole family (including locks inherited on child
-    /// commit) acquires in ascending key order. The classic deadlock-
-    /// avoidance discipline: contention (blocking) stays intact while
-    /// wait-for cycles become rare, letting benchmarks separate lock-wait
-    /// behaviour from deadlock-resolution churn.
-    pub sorted_ops: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -91,7 +83,6 @@ impl Default for Workload {
             abort_prob: 0.0,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 42,
         }
     }
@@ -149,48 +140,17 @@ fn pick_key(rng: &mut StdRng, keys: u64, dist: &KeyDist, zipf: Option<&ZipfSampl
     }
 }
 
-/// Number of leaf operations a single child subtree contributes when
-/// spawned with `depth` levels remaining (see [`run_nested`]: non-leaf
-/// children recurse with a fixed fan-out of 2).
-fn subtree_ops(w: &Workload, depth: u32) -> usize {
-    w.ops_per_txn as usize * (1usize << (depth.max(1) - 1))
-}
-
-/// With [`Workload::sorted_ops`], presample every key the transaction
-/// family will touch and sort them; `run_nested` deals consecutive
-/// slices to leaves in execution order, so the family's lock
-/// acquisitions — including locks inherited on child commit — follow a
-/// single ascending order. Built once per top-level attempt so retries
-/// replay the same keys.
-fn family_plan(rng: &mut StdRng, w: &Workload, zipf: Option<&ZipfSampler>) -> Option<Vec<u64>> {
-    if !w.sorted_ops {
-        return None;
-    }
-    let total = match w.shape {
-        TxnShape::Flat | TxnShape::Serial => w.ops_per_txn as usize,
-        TxnShape::Nested { children, depth } => children as usize * subtree_ops(w, depth),
-    };
-    let mut plan: Vec<u64> = (0..total).map(|_| pick_key(rng, w.keys, &w.dist, zipf)).collect();
-    plan.sort_unstable();
-    Some(plan)
-}
-
 /// Run `ops` operations within a transaction. Returns the first error;
 /// a per-op injected failure surfaces as a retryable [`TxnError::Die`].
-/// `plan` is this leaf's slice of the family's sorted key plan, if any.
 fn run_ops(
     txn: &Txn<u64, i64>,
     rng: &mut StdRng,
     w: &Workload,
     zipf: Option<&ZipfSampler>,
     ops_done: &AtomicU64,
-    plan: Option<&[u64]>,
 ) -> Result<(), TxnError> {
-    for i in 0..w.ops_per_txn {
-        let key = match plan {
-            Some(p) => p[i as usize],
-            None => pick_key(rng, w.keys, &w.dist, zipf),
-        };
+    for _ in 0..w.ops_per_txn {
+        let key = pick_key(rng, w.keys, &w.dist, zipf);
         if rng.gen_bool(w.read_ratio) {
             if w.exclusive_reads {
                 // Simplified-variant ablation: a read takes a write lock.
@@ -223,31 +183,15 @@ fn run_nested(
     ops_done: &AtomicU64,
     retries: &AtomicU64,
     injected: &AtomicU64,
-    plan: Option<&[u64]>,
 ) -> Result<(), TxnError> {
-    let span = subtree_ops(w, depth);
-    for c in 0..children {
-        // Each child's slice of the family plan is fixed by position, so
-        // a retried subtree replays exactly its own keys.
-        let child_plan = plan.map(|p| &p[c as usize * span..(c as usize + 1) * span]);
+    for _ in 0..children {
         let mut attempts = 0;
         loop {
             let child = parent.child()?;
             let outcome = if depth <= 1 {
-                run_ops(&child, rng, w, zipf, ops_done, child_plan)
+                run_ops(&child, rng, w, zipf, ops_done)
             } else {
-                run_nested(
-                    &child,
-                    rng,
-                    w,
-                    2,
-                    depth - 1,
-                    zipf,
-                    ops_done,
-                    retries,
-                    injected,
-                    child_plan,
-                )
+                run_nested(&child, rng, w, 2, depth - 1, zipf, ops_done, retries, injected)
             };
             match outcome {
                 Ok(()) if rng.gen_bool(w.abort_prob) => {
@@ -306,20 +250,12 @@ pub fn run_workload(db: &Db<u64, i64>, w: &Workload) -> RunResult {
                     // The engine's own retry loop drives the top level;
                     // the gate makes Serial truly serial across threads.
                     let _serial = (w.shape == TxnShape::Serial).then(|| serial_gate.lock());
-                    let plan = family_plan(&mut rng, &w, zipf.as_ref());
                     let mut entries: u64 = 0;
                     db.run(|txn| {
                         entries += 1;
                         match w.shape {
                             TxnShape::Flat | TxnShape::Serial => {
-                                match run_ops(
-                                    txn,
-                                    &mut rng,
-                                    &w,
-                                    zipf.as_ref(),
-                                    &ops_done,
-                                    plan.as_deref(),
-                                ) {
+                                match run_ops(txn, &mut rng, &w, zipf.as_ref(), &ops_done) {
                                     Ok(()) if rng.gen_bool(w.abort_prob) => {
                                         injected.fetch_add(1, Ordering::Relaxed);
                                         Err(TxnError::Die { blocker: txn.id() })
@@ -337,7 +273,6 @@ pub fn run_workload(db: &Db<u64, i64>, w: &Workload) -> RunResult {
                                 &ops_done,
                                 &retries,
                                 &injected,
-                                plan.as_deref(),
                             ),
                         }
                     })
@@ -388,7 +323,6 @@ mod tests {
             abort_prob,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 7,
         };
         (run_workload(&db, &w), db)
@@ -444,7 +378,6 @@ mod tests {
             abort_prob: 0.0,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 3,
         };
         let r = run_workload(&db, &w);
@@ -485,7 +418,6 @@ mod tests {
             abort_prob: 0.1,
             exclusive_reads: true,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 21,
         };
         run_workload(&db, &w);
@@ -507,7 +439,6 @@ mod tests {
             abort_prob: 0.0,
             exclusive_reads: false,
             op_abort_prob: 0.05,
-            sorted_ops: false,
             seed: 33,
         };
         let r = run_workload(&db, &w);
@@ -530,7 +461,6 @@ mod tests {
             abort_prob: 0.1,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 9,
         };
         run_workload(&db, &w);

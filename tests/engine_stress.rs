@@ -143,7 +143,6 @@ fn sustained_mixed_workload() {
             abort_prob: 0.1,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 11,
         };
         let r = run_workload(&db, &w);

@@ -96,7 +96,6 @@ fn engine_executions_satisfy_the_formal_condition() {
             abort_prob: 0.15,
             exclusive_reads: false,
             op_abort_prob: 0.0,
-            sorted_ops: false,
             seed: 7,
         };
         run_workload(&db, &w);
