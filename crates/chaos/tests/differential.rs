@@ -25,24 +25,48 @@ use rnt_wal::MemVfs;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// ≥1000 seeds, each run with the pipeline off and on: identical
-/// fingerprints, WAL bytes, counts, and passing verdicts on both sides.
+/// Run one seed with the pipeline off and on: identical fingerprints,
+/// WAL bytes, counts, and passing verdicts on both sides.
+fn assert_group_commit_invisible(seed: u64, off: ChaosConfig, on: ChaosConfig) {
+    let off = run(&off);
+    let on = run(&on);
+    assert!(off.verdict.is_ok(), "seed {seed} (off): {:?}", off.verdict);
+    assert!(on.verdict.is_ok(), "seed {seed} (on): {:?}", on.verdict);
+    assert_eq!(
+        off.fingerprint, on.fingerprint,
+        "seed {seed}: audit/fault trace diverged under group commit"
+    );
+    assert_eq!(off.wal_hash, on.wal_hash, "seed {seed}: WAL bytes diverged");
+    assert_eq!(
+        (off.commits, off.aborts, off.steps, off.wal_records),
+        (on.commits, on.aborts, on.steps, on.wal_records),
+        "seed {seed}: counters diverged"
+    );
+}
+
+/// ≥1000 seeds, each run with the pipeline off and on.
 #[test]
 fn group_commit_is_invisible_across_1000_seeds() {
     for seed in 0..1000u64 {
-        let off = run(&ChaosConfig::seeded_wal(seed));
-        let on = run(&ChaosConfig::seeded_wal_group(seed));
-        assert!(off.verdict.is_ok(), "seed {seed} (off): {:?}", off.verdict);
-        assert!(on.verdict.is_ok(), "seed {seed} (on): {:?}", on.verdict);
-        assert_eq!(
-            off.fingerprint, on.fingerprint,
-            "seed {seed}: audit/fault trace diverged under group commit"
+        assert_group_commit_invisible(
+            seed,
+            ChaosConfig::seeded_wal(seed),
+            ChaosConfig::seeded_wal_group(seed),
         );
-        assert_eq!(off.wal_hash, on.wal_hash, "seed {seed}: WAL bytes diverged");
-        assert_eq!(
-            (off.commits, off.aborts, off.steps, off.wal_records),
-            (on.commits, on.aborts, on.steps, on.wal_records),
-            "seed {seed}: counters diverged"
+    }
+}
+
+/// The same sweep under optimistic concurrency control: an inline
+/// commit and a sequencer batch of one run the same validation and
+/// publication, so the two sides must agree byte for byte, losers
+/// (`Conflict` aborts) included.
+#[test]
+fn optimistic_group_commit_is_invisible_across_1000_seeds() {
+    for seed in 0..1000u64 {
+        assert_group_commit_invisible(
+            seed,
+            ChaosConfig::seeded_wal(seed).optimistic(),
+            ChaosConfig::seeded_wal_group(seed).optimistic(),
         );
     }
 }

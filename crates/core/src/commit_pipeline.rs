@@ -35,17 +35,20 @@ const STAGER_WAIT_SLICE: Duration = Duration::from_millis(2);
 
 /// One staged top-level commit, queued until a leader retires it.
 ///
-/// `P` is the mode-specific payload: the locking engine stages the key
-/// set whose locks the commit holds; the optimistic engine stages its
-/// whole validation footprint (begin epoch, buffered writes, read set,
+/// `P` is the mode-specific payload; each concurrency-control mode has
+/// its own sequencer typed by it. The locking engine stages the key set
+/// whose locks the commit holds; the optimistic engine stages its whole
+/// validation footprint (begin epoch, buffered writes, read set,
 /// buffered audit records) so the leader can validate and publish — or
-/// abort — each participant under one publish-gate acquisition.
+/// abort — each participant under one publish-gate acquisition. An
+/// inline commit (group commit off) is the same value, retired directly
+/// as a batch of one without entering the queue.
 pub(crate) struct StagedCommit<P> {
     /// The committing transaction.
     pub txn: TxnId,
     /// Mode-specific commit payload.
     pub payload: P,
-    /// Queue ticket, unique per staging.
+    /// Queue ticket, unique per staging (0 for an inline commit).
     pub seq: u64,
 }
 

@@ -70,15 +70,17 @@ pub struct StatsBlock {
     /// Range scans started through any read view (snapshot walks of the
     /// ordered index, plus locked transactional range reads).
     pub range_scans: AtomicU64,
-    /// Top-level commits handed to the group-commit sequencer.
+    /// Top-level commits handed to the group-commit sequencer. Inline
+    /// commits (group commit off) are not counted.
     pub commits_staged: AtomicU64,
-    /// Top-level commits retired (published) by the sequencer.
-    /// Conservation: equals `commits_staged` at quiescence — the pipeline
-    /// never loses or invents a commit.
+    /// Top-level commits retired (published) by the sequencer; inline
+    /// commits are not counted. Conservation: equals `commits_staged`
+    /// at quiescence — the pipeline never loses or invents a commit.
     pub commits_batched: AtomicU64,
     /// Group-commit batches retired (each one WAL force + one publish
-    /// acquisition). `commits_batched / commit_batches` is the achieved
-    /// amortization factor.
+    /// acquisition); inline commits are not counted.
+    /// `commits_batched / commit_batches` is the achieved amortization
+    /// factor.
     pub commit_batches: AtomicU64,
     /// Optimistic (first-committer-wins) validation failures at commit:
     /// a footprint key had a committed version newer than the begin
@@ -209,12 +211,13 @@ pub struct StatsSnapshot {
     pub snapshot_reads: u64,
     /// Range scans started through any read view.
     pub range_scans: u64,
-    /// Top-level commits handed to the group-commit sequencer.
+    /// Top-level commits handed to the group-commit sequencer (inline
+    /// commits are not counted).
     pub commits_staged: u64,
     /// Top-level commits retired by the sequencer (= `commits_staged` at
-    /// quiescence).
+    /// quiescence; inline commits are not counted).
     pub commits_batched: u64,
-    /// Group-commit batches retired.
+    /// Group-commit batches retired (inline commits are not counted).
     pub commit_batches: u64,
     /// Optimistic validation failures at commit (first-committer-wins
     /// losers, each surfaced as a retryable `Conflict`).

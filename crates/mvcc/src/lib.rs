@@ -38,6 +38,4 @@
 
 mod store;
 
-pub use store::{
-    MvccCounters, MvccStore, PinError, Publish, PublishBatch, PublishGate, GENESIS_EPOCH,
-};
+pub use store::{MvccCounters, MvccStore, PinError, PublishBatch, PublishGate, GENESIS_EPOCH};

@@ -61,10 +61,10 @@ proptest! {
                 Op::Publish(batch) => {
                     // One version per key per epoch: last write wins.
                     let merged: BTreeMap<u64, i64> = batch.into_iter().collect();
-                    let publish = store.begin_publish();
+                    let publish = store.begin_publish_batch(1);
                     for (k, v) in merged {
                         committed.insert(k, v);
-                        store.append(&k, publish.epoch(), v);
+                        store.append(&k, publish.epoch_of(0), v);
                     }
                 }
                 Op::Pin => {
